@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-intra check chaos golden bench bench-baseline bench-compare bench-smoke serve-smoke ckpt-conformance crash-e2e profile fuzz fmt vet
+.PHONY: all build test test-short race race-intra check chaos golden bench bench-baseline bench-compare bench-smoke serve-smoke crash-e2e profile fuzz fmt vet
 
 all: build test
 
@@ -80,17 +80,7 @@ bench-smoke:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Checkpoint/restore conformance (DESIGN.md §14): the short
-# snapshot-at-midpoint matrix under the race detector, then every golden
-# cell through the drill-and-resume cycle at par-intra 1 and 4. CI's
-# checkpoint-conformance job runs exactly this.
-ckpt-conformance:
-	$(GO) test -race -count=1 -v \
-		-run 'TestCheckpointConformanceShort|TestCheckpointCrashDrillAndAutoResume|TestCheckpointFallsBackOnDamage|TestResumeContextExplicit|TestExperimentWithCheckpoint' .
-	$(GO) test -race -count=1 -v ./internal/ckpt/
-	$(GO) test -count=1 -v -run 'TestGoldenMatrixCheckpointConformance' .
-
-# Crash-recovery e2e: boot ptbserve with journal + snapshots, SIGKILL it
+# Crash-recovery e2e: boot ptbserve with its job journal, SIGKILL it
 # mid-sweep, reboot, and demand full recovery with byte-identical
 # digests. CI's crash-e2e job runs this.
 crash-e2e:
@@ -114,6 +104,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseFaultSpec -fuzztime 30s .
 	$(GO) test -run xxx -fuzz FuzzParseTelemetrySpec -fuzztime 30s .
 	$(GO) test -run xxx -fuzz FuzzParseIntraParallel -fuzztime 30s .
+	$(GO) test -run xxx -fuzz FuzzOpenJournal -fuzztime 30s ./internal/store/
 
 fmt:
 	gofmt -l -w .

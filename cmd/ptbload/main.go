@@ -158,7 +158,10 @@ func main() {
 		resp.Body.Close()
 	}
 
-	post := func(path string, body any) outcome {
+	// post sends one request. A runs-mode answer records its digest under
+	// slot, the index of its config in runSet, so only answers for the
+	// same config are compared.
+	post := func(path string, body any, slot int) outcome {
 		buf, _ := json.Marshal(body)
 		start := time.Now()
 		var resp *http.Response
@@ -212,7 +215,7 @@ func main() {
 		default:
 			o.fresh = 1
 		}
-		o.digests[0] = rr.Digest
+		o.digests[slot] = rr.Digest
 		return o
 	}
 
@@ -232,8 +235,8 @@ func main() {
 			defer func() { <-sem }()
 			switch *mode {
 			case "runs":
-				body := map[string]any{"config": runSet[i%len(runSet)]}
-				outcomes[i] = post("/v1/runs", body)
+				slot := i % len(runSet)
+				outcomes[i] = post("/v1/runs", map[string]any{"config": runSet[slot]}, slot)
 			default:
 				body := sweepBody
 				if *scale != 0 {
@@ -241,7 +244,7 @@ func main() {
 					// flag only applies to runs mode.
 					fmt.Fprintln(os.Stderr, "ptbload: note: -scale is ignored in sweep mode")
 				}
-				outcomes[i] = post("/v1/sweeps", body)
+				outcomes[i] = post("/v1/sweeps", body, 0)
 			}
 		}()
 	}

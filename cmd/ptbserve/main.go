@@ -36,6 +36,10 @@ import (
 	"ptbsim/internal/store"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so slow or stalled connections cannot pin server goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8177", "listen address")
@@ -47,9 +51,6 @@ func main() {
 		check    = flag.Bool("check", false, "enable runtime invariant checks on every run")
 		drainFor = flag.Duration("drain", 5*time.Minute, "graceful-shutdown budget for finishing accepted jobs")
 	)
-	var checkpoint ptbsim.CheckpointFlag
-	flag.Var(&checkpoint, "checkpoint",
-		"periodic per-run snapshots, e.g. every=1000000,dir=/var/lib/ptbsim/ckpt; interrupted runs resume from the latest snapshot on replay")
 	flag.Parse()
 
 	hub := serve.NewHub()
@@ -61,10 +62,6 @@ func main() {
 	}
 	if *check {
 		opts = append(opts, ptbsim.WithInvariants())
-	}
-	if checkpoint.Spec != nil {
-		ck := checkpoint.Spec.Checkpoint()
-		opts = append(opts, ptbsim.WithCheckpoint(ck.Every, ck.Dir))
 	}
 	var st *store.Store
 	if *storeDir != "" {
@@ -85,9 +82,8 @@ func main() {
 
 	// Crash recovery: with a persistent store, accepted jobs ride a
 	// write-ahead journal. Replay whatever the last process left pending —
-	// completed jobs resolve as cache hits, interrupted ones recompute (or
-	// resume from their latest snapshot with -checkpoint) — so a SIGKILL
-	// loses zero accepted jobs.
+	// completed jobs resolve as cache hits, interrupted ones recompute from
+	// cycle 0 — so a SIGKILL loses zero accepted jobs.
 	var jr *store.Journal
 	if *storeDir != "" {
 		var pending []store.JournalRecord
@@ -112,7 +108,7 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "ptbserve: listening on %s (par=%d queue=%d scale=%g)\n",

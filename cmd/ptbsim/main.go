@@ -49,9 +49,6 @@ func main() {
 	flag.Var(&faults, "faults", "fault-injection spec, e.g. seed=42,drop=0.25,noise=0.02 (keys: seed, drop, delay, dup, delaycycles, stale, retries, backoff, stall, stallcycles, corrupt, noise, drift, glitch)")
 	var telemetry ptbsim.TelemetryFlag
 	flag.Var(&telemetry, "telemetry", "stream epoch telemetry, e.g. every=2048,out=run.jsonl (keys: every, ring, out, format)")
-	var checkpoint ptbsim.CheckpointFlag
-	flag.Var(&checkpoint, "checkpoint", "write crash-recovery snapshots and auto-resume, e.g. every=500000,dir=ckpt (keys: every, dir, stop)")
-	resume := flag.String("resume", "", "resume explicitly from this snapshot file and run to completion (ignores the workload flags; fails loudly on a corrupt or mismatched snapshot)")
 	profFlags := prof.Register(nil)
 	flag.Parse()
 	stopProf, err := profFlags.Start()
@@ -87,9 +84,6 @@ func main() {
 		Faults:                faults.Spec,
 		IntraParallel:         tiles,
 	}
-	if checkpoint.Spec != nil {
-		cfg.Checkpoint = checkpoint.Spec.Checkpoint()
-	}
 	if telemetry.Spec != nil {
 		tel, closeTel, err := telemetry.Spec.Start()
 		if err != nil {
@@ -106,22 +100,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *resume != "" {
-		// Snapshots are self-describing, so -resume needs no workload flags:
-		// the embedded config rides inside the file. -checkpoint may still set
-		// the cadence for further snapshots while the run completes.
-		var every int64
-		if checkpoint.Spec != nil {
-			every = checkpoint.Spec.Checkpoint().Every
-		}
-		r, err := ptbsim.ResumeContext(ctx, *resume, every)
-		if err != nil {
-			fail(err)
-		}
-		emit(r, *asJSON)
-		return
-	}
 
 	r, err := ptbsim.RunContext(ctx, cfg)
 	if err != nil {
@@ -162,18 +140,12 @@ func emit(r *ptbsim.Result, asJSON bool) {
 }
 
 // fail reports err and exits, distinguishing an interrupted run (exit 130,
-// the conventional SIGINT status) and a deliberate crash-drill stop (exit 3,
-// resumable) from a real failure.
+// the conventional SIGINT status) from a real failure.
 func fail(err error) {
 	if errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, err)
 		fmt.Fprintln(os.Stderr, "ptbsim: interrupted")
 		os.Exit(130)
-	}
-	if errors.Is(err, ptbsim.ErrRunStopped) {
-		fmt.Fprintln(os.Stderr, "ptbsim: crash drill stop:", err)
-		fmt.Fprintln(os.Stderr, "ptbsim: rerun with the same -checkpoint dir to resume")
-		os.Exit(3)
 	}
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)

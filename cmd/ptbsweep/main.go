@@ -12,6 +12,7 @@
 //	ptbsweep -exp all -par 16          # same output, 16 parallel simulations
 //	ptbsweep -exp fig9 -cores 2,4,8    # restrict the core sweep
 //	ptbsweep -exp fig10 -benches ocean,radix,fft
+//	ptbsweep -exp all -store sweep-cells  # rerun skips finished cells
 //
 // Workload scale trades fidelity for time: the paper shapes are stable
 // from about scale 0.25; scale 1.0 runs the full Table-2-calibrated sizes.
@@ -61,14 +62,12 @@ func main() {
 		check   = flag.Bool("check", false, "enable runtime invariant checks on every run (fails on any violation)")
 		outPath = flag.String("o", "", "write output to this file instead of stdout (for go:generate)")
 		parIn   = flag.Int("par-intra", 0, "shard each simulated chip across up to this many goroutine-stepped tiles (0 = serial; each chip uses the largest divisor of its core count that fits; output is identical at any value)")
+		store   = flag.String("store", "", "persist every finished cell in this directory; a rerun with the same flags skips the cells already there")
 	)
 	var faults fault.Flag
 	flag.Var(&faults, "faults", "fault-injection spec applied to every run, e.g. seed=42,drop=0.25")
 	var telemetry ptbsim.TelemetryFlag
 	flag.Var(&telemetry, "telemetry", "stream epoch telemetry from every run into one merged feed, e.g. every=2048,out=sweep.jsonl")
-	var checkpoint ptbsim.CheckpointFlag
-	flag.Var(&checkpoint, "checkpoint", "make the sweep resumable through this directory, e.g. every=500000,dir=sweep-ckpt: finished cells persist and are skipped on restart, partial cells snapshot and resume (keys: every, dir, stop)")
-	resume := flag.String("resume", "", "resume the sweep saved in this directory (shorthand for -checkpoint dir=DIR at the default cadence)")
 	profFlags := prof.Register(nil)
 	flag.Parse()
 	stopProf, err := profFlags.Start()
@@ -117,15 +116,11 @@ func main() {
 	r.CheckInvariants = *check
 	r.Faults = faults.Spec
 	r.IntraParallel = *parIn
-	if *resume != "" && checkpoint.Spec == nil {
-		checkpoint.Spec = &ptbsim.CheckpointSpec{Dir: *resume}
-	}
-	if checkpoint.Spec != nil {
-		// One directory makes the whole sweep restartable: completed cells
-		// persist in the cell store and are skipped, partial cells leave a
-		// snapshot and resume mid-run byte-identically.
-		ck := checkpoint.Spec.Checkpoint()
-		st, err := r.SetStore(ck.Dir)
+	if *store != "" {
+		// The cell store makes the whole sweep restartable: completed cells
+		// persist and are skipped; a cell cut short by a crash reruns from
+		// cycle 0.
+		st, err := r.SetStore(*store)
 		if err != nil {
 			fail(err)
 		}
@@ -133,11 +128,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ptbsweep: %d unreadable cell files skipped (recomputing those cells)\n", n)
 		}
 		if n := st.Len(); n > 0 && !*quiet {
-			fmt.Fprintf(os.Stderr, "ptbsweep: resuming: %d completed cells loaded from %s\n", n, ck.Dir)
+			fmt.Fprintf(os.Stderr, "ptbsweep: resuming: %d completed cells loaded from %s\n", n, *store)
 		}
-		r.CheckpointEvery = ck.Every
-		r.CheckpointDir = ck.Dir
-		r.CheckpointStop = ck.StopAfter
 		defer func() {
 			if err := st.Err(); err != nil {
 				fmt.Fprintln(os.Stderr, "ptbsweep:", err)
@@ -246,24 +238,18 @@ func fail(err error) {
 		fmt.Fprintln(os.Stderr, "ptbsweep: interrupted")
 		os.Exit(130)
 	}
-	if errors.Is(err, ptbsim.ErrRunStopped) {
-		fmt.Fprintln(os.Stderr, "ptbsweep: crash drill stop:", err)
-		fmt.Fprintln(os.Stderr, "ptbsweep: rerun with the same -checkpoint dir to resume")
-		os.Exit(3)
-	}
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
 }
 
-// exitOnInterrupt converts the cancellation (and crash-drill) panics of
-// the legacy Runner path into the same clean exits as fail.
+// exitOnInterrupt converts the cancellation panics of the legacy Runner
+// path into the same clean exits as fail.
 func exitOnInterrupt() {
 	p := recover()
 	if p == nil {
 		return
 	}
-	if err, ok := p.(error); ok &&
-		(errors.Is(err, context.Canceled) || errors.Is(err, ptbsim.ErrRunStopped)) {
+	if err, ok := p.(error); ok && errors.Is(err, context.Canceled) {
 		fail(err)
 	}
 	panic(p)

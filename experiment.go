@@ -43,7 +43,6 @@ type Experiment struct {
 	invariants    bool
 	faults        *FaultSpec
 	intraParallel int
-	checkpoint    *Checkpoint
 	runTimeout    time.Duration
 	retries       int
 	backoff       time.Duration
@@ -147,17 +146,6 @@ func WithIntraParallel(n int) Option {
 	return func(e *Experiment) { e.intraParallel = n }
 }
 
-// WithCheckpoint arms crash-recovery snapshots on every run the
-// experiment executes whose config leaves Checkpoint nil: each run
-// periodically saves a snapshot under dir and resumes from it after a
-// crash, byte-identically (see Checkpoint). Snapshot files are keyed by
-// the config's stable wire JSON, and a run's snapshot is deleted when
-// the run completes. Like telemetry, checkpointing never enters the
-// cache key — it cannot change a result.
-func WithCheckpoint(every int64, dir string) Option {
-	return func(e *Experiment) { e.checkpoint = &Checkpoint{Every: every, Dir: dir} }
-}
-
 // WithObserver streams epoch telemetry from every run the experiment
 // executes into o, sampling every `every` cycles (0 = the default period):
 // the sweep-level merged feed. Samples from concurrently simulating
@@ -242,9 +230,6 @@ func (e *Experiment) normalize(cfg Config) Config {
 	}
 	if cfg.Observe == nil && e.telemetry != nil {
 		cfg.Observe = e.telemetry
-	}
-	if cfg.Checkpoint == nil && e.checkpoint != nil {
-		cfg.Checkpoint = e.checkpoint
 	}
 	if cfg.IntraParallel == 0 && e.intraParallel > 0 {
 		// The experiment-level default means "up to n tiles": each chip is

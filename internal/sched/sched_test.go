@@ -227,6 +227,16 @@ func TestForEachStopsOnError(t *testing.T) {
 				if i > 10 {
 					atomic.AddInt32(&after, 1)
 				}
+				if i > 3 {
+					// Later jobs take time, like real simulations, so the
+					// bound below measures dispatch after the failure, not
+					// how far the other worker raced ahead while job 3's
+					// worker was descheduled.
+					select {
+					case <-ctx.Done():
+					case <-time.After(5 * time.Second):
+					}
+				}
 				return i, nil
 			},
 		}

@@ -155,6 +155,28 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorJSON{Error: err.Error()})
 }
 
+// maxBodyBytes caps a POST body. The largest legitimate request, a sweep
+// naming every benchmark, core count and technique, is a few KiB; 1 MiB
+// bounds what a hostile or broken client can make the server buffer.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it writes the response — 413 for an oversized body, 400
+// for anything else — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	}
+	return false
+}
+
 // submitError maps engine admission failures onto status codes and
 // counts the rejection.
 func (s *Server) submitError(w http.ResponseWriter, err error) {
@@ -299,8 +321,7 @@ type runResponse struct {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	opts, err := submitOpts(req.Priority, req.TimeoutMS)
@@ -398,8 +419,7 @@ type sweepResponse struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	sweep, err := req.sweep()

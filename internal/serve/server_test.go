@@ -105,6 +105,23 @@ func TestRunEndpointRejectsBadConfig(t *testing.T) {
 	}
 }
 
+func TestOversizedBody413(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	// A syntactically valid prefix whose string never ends before the
+	// cap: the decoder must stop at maxBodyBytes, not buffer the rest.
+	body := `{"config":{"benchmark":"` + strings.Repeat("a", maxBodyBytes+1) + `"}}`
+	for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413", path, resp.StatusCode)
+		}
+	}
+}
+
 func TestBackpressure429(t *testing.T) {
 	// One worker, one queue slot: hammer distinct configs concurrently
 	// until the queue overflows into 429 + Retry-After.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"ptbsim/internal/ckpt"
 	"ptbsim/internal/core"
 	"ptbsim/internal/cpu"
 	"ptbsim/internal/fault"
@@ -59,19 +58,6 @@ type Runner struct {
 	// part of the cache key — it cannot change results — so cached runs
 	// emit no samples; only fresh simulations stream.
 	Observe *obs.Config
-	// CheckpointEvery and CheckpointDir, when both set, arm crash-recovery
-	// snapshots on every run this runner executes: each cell periodically
-	// saves a snapshot keyed by its full cache key, a restarted sweep
-	// resumes partial cells from their latest snapshot (byte-identically —
-	// see DESIGN.md §14), and a cell's snapshot is deleted the moment the
-	// cell completes. Set before the first run. Like telemetry they stay
-	// out of the cache key: snapshots cannot change results.
-	CheckpointEvery int64
-	CheckpointDir   string
-	// CheckpointStop, when > 0, arms the crash drill on every cell: a run
-	// aborts with ckpt.ErrStopped right after its Nth snapshot. Restarting
-	// the sweep resumes the aborted cell (resumed runs ignore the drill).
-	CheckpointStop int
 	// IntraParallel shards each simulated chip across up to that many
 	// goroutine-stepped tiles (see Config.IntraParallel; 0 = serial):
 	// every run uses the largest divisor of its core count that fits, so
@@ -190,17 +176,7 @@ func (r *Runner) simulate(ctx context.Context, bench string, cores int, tech Tec
 		Observe:       r.Observe,
 		IntraParallel: partition.Fit(cores, r.IntraParallel),
 	}
-	if r.CheckpointDir != "" && r.CheckpointEvery > 0 {
-		k := r.key(bench, cores, tech, pol, relax)
-		cfg.Checkpoint = &ckpt.Plan{
-			Every:     r.CheckpointEvery,
-			Dir:       r.CheckpointDir,
-			Key:       k,
-			Config:    []byte(k),
-			StopAfter: r.CheckpointStop,
-		}
-	}
-	return RunOrResumeContext(ctx, cfg)
+	return RunContext(ctx, cfg)
 }
 
 // Run is the context-free form the figure builders use: it consults the

@@ -1,12 +1,12 @@
 #!/bin/sh
 # crash_e2e.sh — crash-recovery gate for the serving layer: boot ptbserve
-# with a persistent store, write-ahead job journal and periodic run
-# snapshots, hammer it with sweep requests, SIGKILL the server mid-sweep,
-# reboot it on the same store, and demand that (a) the journal replays
-# every accepted-but-incomplete job to completion (zero accepted jobs
-# lost) and (b) the digests served after recovery are byte-identical to a
-# never-crashed reference server's. Used by `make crash-e2e` and CI's
-# crash-e2e job.
+# with a persistent store and write-ahead job journal, hammer it with
+# sweep requests, SIGKILL the server mid-sweep, reboot it on the same
+# store, and demand that (a) the journal replays every accepted but
+# incomplete job to completion, recomputing interrupted runs from cycle
+# 0 (zero accepted jobs lost), and (b) the digests served after recovery
+# are byte-identical to a never-crashed reference server's. Used by
+# `make crash-e2e` and CI's crash-e2e job.
 set -eu
 
 ADDR="${PTBSERVE_ADDR:-127.0.0.1:18178}"
@@ -48,9 +48,7 @@ EOF
 go build -o "$workdir/ptbstats" "$workdir/stats.go"
 
 boot() {
-    store="$1"
-    shift
-    "$workdir/ptbserve" -addr "$ADDR" -store "$store" -scale "$SCALE" "$@" \
+    "$workdir/ptbserve" -addr "$ADDR" -store "$1" -scale "$SCALE" \
         >"$workdir/serve.log" 2>&1 &
     server_pid=$!
     i=0
@@ -71,8 +69,8 @@ boot "$workdir/ref-store"
 kill -TERM "$server_pid"
 wait "$server_pid" || true
 
-echo "== boot the crash-test server (journal + snapshots armed)"
-boot "$workdir/store" -checkpoint "every=100000,dir=$workdir/store/ckpt"
+echo "== boot the crash-test server (journal armed)"
+boot "$workdir/store"
 
 echo "== hammer with sweeps, then SIGKILL mid-sweep"
 "$workdir/ptbload" -addr "$ADDR" -n 20 -c 8 >"$workdir/crash.out" 2>&1 &
@@ -92,7 +90,7 @@ loader_pid=""
 echo "   (server SIGKILLed; loader aborted as expected)"
 
 echo "== reboot on the same store: journal replay"
-boot "$workdir/store" -checkpoint "every=100000,dir=$workdir/store/ckpt"
+boot "$workdir/store"
 grep -E "journal" "$workdir/serve.log" || true
 
 echo "== wait until every accepted job is recovered (journal drains)"

@@ -2,10 +2,11 @@
 # serve_smoke.sh — end-to-end gate for the serving layer: boots ptbserve
 # with a persistent store, replays N concurrent duplicate sweeps with
 # ptbload, asserts single-flight dedup on the cold pass and a >=99%
-# cache-hit rate on the warm pass, then SIGTERMs the server (graceful
-# drain), reboots it on the same store, and demands byte-identical
-# digests from the persisted cache. Used by `make serve-smoke` and CI's
-# serve-e2e job.
+# cache-hit rate on the warm pass, sends single-config requests with
+# `ptbload -mode runs` (digests compared per config), then SIGTERMs the
+# server (graceful drain), reboots it on the same store, and demands
+# byte-identical digests from the persisted cache. Used by
+# `make serve-smoke` and CI's serve-e2e job.
 set -eu
 
 ADDR="${PTBSERVE_ADDR:-127.0.0.1:18177}"
@@ -43,6 +44,11 @@ echo "== cold pass: $N concurrent duplicate sweeps, single-flight asserted"
 echo "== warm pass: >=99% cache hits asserted"
 "$workdir/ptbload" -addr "$ADDR" -n "$N" -c "$C" -assert-hit-rate 0.99 \
     | tee "$workdir/warm.out"
+
+echo "== runs pass: single-config requests, digests compared per config"
+"$workdir/ptbload" -addr "$ADDR" -mode runs -n "$N" -c "$C" >"$workdir/runs.out" \
+    || { cat "$workdir/runs.out"; echo "runs pass failed"; exit 1; }
+cat "$workdir/runs.out"
 
 echo "== graceful shutdown (SIGTERM drain + store flush)"
 kill -TERM "$server_pid"
