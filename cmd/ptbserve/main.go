@@ -80,10 +80,12 @@ func main() {
 	exp := ptbsim.NewExperiment(opts...)
 	srv := serve.New(exp, st, hub)
 
-	// Crash recovery: with a persistent store, accepted jobs ride a
-	// write-ahead journal. Replay whatever the last process left pending —
-	// completed jobs resolve as cache hits, interrupted ones recompute from
-	// cycle 0 — so a SIGKILL loses zero accepted jobs.
+	// Crash recovery: with a persistent store, accepted jobs that must
+	// simulate ride a write-ahead journal (cache hits are answered from
+	// the store and need none). Replay whatever the last process left
+	// pending — completed jobs resolve as cache hits and are cleared at
+	// once, interrupted ones recompute from cycle 0 — so a SIGKILL loses
+	// zero accepted jobs.
 	var jr *store.Journal
 	if *storeDir != "" {
 		var pending []store.JournalRecord

@@ -70,43 +70,53 @@ func New(exp *ptbsim.Experiment, st *store.Store, hub *Hub) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // AttachJournal installs a write-ahead journal of accepted jobs: every
-// successfully submitted configuration is journaled (fsync'd) before the
-// HTTP acknowledgment, and marked done once its result is in the cache.
-// A SIGKILL'd server therefore reboots knowing exactly which accepted
-// jobs never completed — feed them back through ReplayJournal. Call
-// before serving requests; nil detaches.
+// submission that will simulate (fresh, or coalesced onto an in-flight
+// run) is journaled (fsync'd) before the HTTP acknowledgment, and marked
+// done once its result is in the cache. A SIGKILL'd server therefore
+// reboots knowing exactly which accepted jobs never completed — feed
+// them back through ReplayJournal. A cache hit is not journaled: it is
+// answered from the digest-verified store, so its response is its
+// completion and there is no pending job a crash could lose. Call before
+// serving requests; nil detaches.
 func (s *Server) AttachJournal(jr *store.Journal) { s.jr = jr }
 
 // journalAccept records an accepted job in the journal — before any
 // response bytes, so an acknowledgment can never outrun durability — and
-// arms the completion watcher. Nil-journal servers skip both.
+// arms the completion watcher. Nil-journal servers and cache hits skip
+// both: a hit resolved at submission from the store, so it writes no
+// record, makes no fsync and starts no goroutine.
 func (s *Server) journalAccept(job *ptbsim.Job, priority int) {
-	if s.jr == nil {
+	if s.jr == nil || job.Cached() {
 		return
 	}
 	cfgJSON, err := json.Marshal(job.Config())
 	if err == nil {
 		_ = s.jr.Accept(store.JournalRecord{ID: job.Key(), Config: cfgJSON, Priority: priority})
 	}
-	go func() {
-		// The watcher outlives the request: a client that disconnects
-		// mid-run must not leave a completed job marked pending forever.
-		_, runErr := job.Await(context.Background())
-		if runErr != nil && errors.Is(runErr, ptbsim.ErrDraining) {
-			// Shutdown interrupted the job before it ran; leave it
-			// journaled so the next boot replays it.
-			return
-		}
-		s.jr.Done(job.Key())
-	}()
+	go s.doneWhenResolved(job, job.Key())
+}
+
+// doneWhenResolved marks journal record id done once job resolves. It
+// outlives the request: a client that disconnects mid-run must not leave
+// a completed job marked pending forever.
+func (s *Server) doneWhenResolved(job *ptbsim.Job, id string) {
+	if _, err := job.Await(context.Background()); errors.Is(err, ptbsim.ErrDraining) {
+		// Shutdown interrupted the job before it ran; leave it journaled
+		// so the next boot replays it.
+		return
+	}
+	s.jr.Done(id)
 }
 
 // ReplayJournal resubmits the pending records a recovering journal
 // returned from OpenJournal: each record's config is decoded and
 // submitted at its original priority, detached from any request (results
-// land in the cache; completions clear the journal). It reports how many
-// records were resubmitted; undecodable records are counted out and
-// marked done rather than wedging recovery on every future boot.
+// land in the cache; completions clear the journal). A record whose
+// result is already in the store (the job completed but its done record
+// was lost) resolves as a cache hit and is marked done at once. It
+// reports how many records were resubmitted; undecodable records are
+// counted out and marked done rather than wedging recovery on every
+// future boot.
 func (s *Server) ReplayJournal(ctx context.Context, pending []store.JournalRecord) (int, error) {
 	replayed := 0
 	for _, rec := range pending {
@@ -121,19 +131,23 @@ func (s *Server) ReplayJournal(ctx context.Context, pending []store.JournalRecor
 		if err != nil {
 			return replayed, fmt.Errorf("replaying journaled job %s: %w", rec.ID, err)
 		}
-		s.journalAccept(job, rec.Priority)
-		if s.jr != nil && job.Key() != rec.ID {
-			// The record was journaled under a different key (an older
-			// binary, say); clear it under its own ID once the replayed
-			// job resolves so it doesn't haunt every future boot.
-			go func(id string, job *ptbsim.Job) {
-				if _, err := job.Await(context.Background()); errors.Is(err, ptbsim.ErrDraining) {
-					return
-				}
-				s.jr.Done(id)
-			}(rec.ID, job)
-		}
 		replayed++
+		if s.jr == nil {
+			continue
+		}
+		if job.Cached() {
+			// journalAccept writes nothing for a hit, so no watcher would
+			// ever clear this record: clear it now, under its own ID.
+			s.jr.Done(rec.ID)
+			continue
+		}
+		s.journalAccept(job, rec.Priority)
+		if job.Key() != rec.ID {
+			// The record was journaled under a different key (an older
+			// binary, say); the replayed job is journaled under its own
+			// key, so clear the stale ID once it resolves too.
+			go s.doneWhenResolved(job, rec.ID)
+		}
 	}
 	return replayed, nil
 }

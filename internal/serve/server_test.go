@@ -6,9 +6,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +23,7 @@ import (
 
 // newTestServer wires the full stack — hub, store, experiment, server —
 // the way cmd/ptbserve does.
-func newTestServer(t *testing.T, dir string, expOpts ...ptbsim.Option) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, dir string, expOpts ...ptbsim.Option) (*Server, *httptest.Server) {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -41,7 +44,7 @@ func newTestServer(t *testing.T, dir string, expOpts ...ptbsim.Option) (*Server,
 	return srv, ts
 }
 
-func postJSON(t *testing.T, url string, body any) *http.Response {
+func postJSON(t testing.TB, url string, body any) *http.Response {
 	t.Helper()
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -440,5 +443,248 @@ func TestJournalReplayRecoversInterruptedJob(t *testing.T) {
 	}
 	if !rr.Cached {
 		t.Fatal("replayed job's result not served from cache")
+	}
+}
+
+// openTestJournal opens dir/jobs.wal, closed at test end.
+func openTestJournal(t testing.TB, dir string) (*store.Journal, string) {
+	t.Helper()
+	wal := filepath.Join(dir, "jobs.wal")
+	jr, _, err := store.OpenJournal(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jr.Close() })
+	return jr, wal
+}
+
+// postDecode posts body, demands 200 and decodes the response into out.
+func postDecode(t *testing.T, url string, body, out any) {
+	t.Helper()
+	resp := postJSON(t, url, body)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: status = %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCacheHitsSkipJournal pins the hit path: once a sweep's results
+// are cached, repeated cached runs and a fully cached sweep append
+// nothing to jobs.wal and leave no goroutine behind.
+func TestCacheHitsSkipJournal(t *testing.T) {
+	dir := t.TempDir()
+	jr, wal := openTestJournal(t, dir)
+	srv, ts := newTestServer(t, dir)
+	srv.AttachJournal(jr)
+
+	sweep := sweepRequest{Benchmarks: []string{"fft", "radix"}, CoreCounts: []int{2}, Techniques: []string{"none"}}
+	var warm sweepResponse
+	postDecode(t, ts.URL+"/v1/sweeps", sweep, &warm)
+	if warm.Fresh != 2 {
+		t.Fatalf("warm-up sweep: %+v, want 2 fresh", warm)
+	}
+	waitJournalDrained(t, jr)
+	before := readFile(t, wal)
+	http.DefaultClient.CloseIdleConnections()
+	baseline := runtime.NumGoroutine()
+
+	const hits = 20
+	for i := 0; i < hits; i++ {
+		var rr runResponse
+		postDecode(t, ts.URL+"/v1/runs", runRequest{
+			Config: ptbsim.Config{Benchmark: "fft", Cores: 2, Technique: ptbsim.None},
+		}, &rr)
+		if !rr.Cached {
+			t.Fatalf("run %d not served from cache", i)
+		}
+	}
+	var hot sweepResponse
+	postDecode(t, ts.URL+"/v1/sweeps", sweep, &hot)
+	if hot.Cached != hot.Total {
+		t.Fatalf("second sweep: %+v, want every member cached", hot)
+	}
+
+	if after := readFile(t, wal); !bytes.Equal(before, after) {
+		t.Fatalf("cache hits wrote to the journal:\n%s", after[len(before):])
+	}
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after cache hits, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMixedSweepJournalsOnlyFreshMembers checks that a sweep with
+// cached and fresh members appends accept records for exactly the fresh
+// members' keys.
+func TestMixedSweepJournalsOnlyFreshMembers(t *testing.T) {
+	dir := t.TempDir()
+	jr, wal := openTestJournal(t, dir)
+	srv, ts := newTestServer(t, dir)
+	srv.AttachJournal(jr)
+
+	var warm sweepResponse
+	postDecode(t, ts.URL+"/v1/sweeps", sweepRequest{
+		Benchmarks: []string{"fft"}, CoreCounts: []int{2}, Techniques: []string{"none", "ptb"},
+	}, &warm)
+	waitJournalDrained(t, jr)
+	before := readFile(t, wal)
+
+	var mixed sweepResponse
+	postDecode(t, ts.URL+"/v1/sweeps", sweepRequest{
+		Benchmarks: []string{"fft", "radix"}, CoreCounts: []int{2}, Techniques: []string{"none", "ptb"},
+	}, &mixed)
+	if mixed.Cached != 2 || mixed.Fresh != 2 {
+		t.Fatalf("mixed sweep: %+v, want 2 cached and 2 fresh", mixed)
+	}
+	waitJournalDrained(t, jr)
+
+	want := map[string]bool{}
+	for _, rr := range mixed.Results {
+		if rr.Cached {
+			continue
+		}
+		// Resubmitting a now-cached config directly yields its key
+		// without touching the journal.
+		job, err := srv.exp.Submit(context.Background(), rr.Config, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[job.Key()] = true
+	}
+	got := map[string]int{}
+	for _, line := range bytes.Split(bytes.TrimSpace(readFile(t, wal)[len(before):]), []byte("\n")) {
+		var rec struct {
+			Op string `json:"op"`
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if rec.Op == "accept" {
+			got[rec.ID]++
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("accept records %v, want one per fresh key %v", got, want)
+	}
+	for id, n := range got {
+		if !want[id] || n != 1 {
+			t.Fatalf("accept records %v, want one per fresh key %v", got, want)
+		}
+	}
+}
+
+// TestReplayClearsCompletedRecords is the recovery half of the hit
+// path: a journaled job whose result reached the store before the crash
+// (its done record lost) replays as a cache hit, which journalAccept does
+// not record. Replay must clear the record at once, under its own ID —
+// also a stale ID that differs from the job's key — or it would come
+// back on every boot.
+func TestReplayClearsCompletedRecords(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ptbsim.Config{Benchmark: "fft", Cores: 2, Technique: ptbsim.None}
+
+	// The crashed process: it finished the run (the result is in the
+	// store) but died before journaling done.
+	srv0, ts0 := newTestServer(t, dir)
+	var rr runResponse
+	postDecode(t, ts0.URL+"/v1/runs", runRequest{Config: cfg}, &rr)
+	job, err := srv0.exp.Submit(context.Background(), cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgJSON, err := json.Marshal(job.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(dir, "jobs.wal")
+	jr0, _, err := store.OpenJournal(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{job.Key(), "stale/" + job.Key()} {
+		if err := jr0.Accept(store.JournalRecord{ID: id, Config: cfgJSON}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jr0.Close()
+
+	// The reboot.
+	jr, pending, err := store.OpenJournal(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 2 {
+		t.Fatalf("pending = %+v, want both records", pending)
+	}
+	srv, _ := newTestServer(t, dir)
+	srv.AttachJournal(jr)
+	n, err := srv.ReplayJournal(context.Background(), pending)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("replayed %d records, want 2", n)
+	}
+	if p := jr.Pending(); p != 0 {
+		t.Fatalf("Pending() = %d right after replay, want 0", p)
+	}
+	jr.Close()
+
+	jr2, pending, err := store.OpenJournal(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr2.Close()
+	if len(pending) != 0 {
+		t.Fatalf("next boot finds %d pending records, want 0: %+v", len(pending), pending)
+	}
+}
+
+// BenchmarkServeHit measures one cache-hit POST /v1/runs through the
+// full HTTP stack with a store and journal attached: the serving hot
+// path, where the result is already in the store.
+func BenchmarkServeHit(b *testing.B) {
+	dir := b.TempDir()
+	jr, _ := openTestJournal(b, dir)
+	srv, ts := newTestServer(b, dir)
+	srv.AttachJournal(jr)
+	body, err := json.Marshal(runRequest{Config: ptbsim.Config{Benchmark: "fft", Cores: 2, Technique: ptbsim.None}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status = %d", resp.StatusCode)
+		}
+	}
+	post() // warm: the one fresh run
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
 	}
 }

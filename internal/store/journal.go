@@ -6,13 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 )
 
 // Journal is a write-ahead log of accepted jobs: the piece that makes
 // "accepted" mean "durable". The server appends one fsync'd record per
-// accepted submission before acknowledging it, and a completion record
-// when the result lands in the store; a SIGKILL'd process therefore
+// accepted submission that must simulate before acknowledging it (a
+// cache hit is already complete and is not journaled), and a completion
+// record when the result lands in the store; a SIGKILL'd process therefore
 // reboots, replays the journal, and finds exactly the set of jobs that
 // were accepted but not yet completed — zero accepted jobs are ever
 // lost. The log is JSONL (one record per line) and torn-tail tolerant:
@@ -24,10 +26,18 @@ type Journal struct {
 
 	mu      sync.Mutex
 	f       *os.File
-	pending map[string]JournalRecord
-	order   []string // pending IDs in acceptance order
+	pending map[string]pendingRecord
+	seq     uint64 // acceptance counter; orders pending records
 	torn    int
 	err     error // first append failure, latched
+}
+
+// pendingRecord is an accepted record with its acceptance sequence
+// number, so Done is a map delete and the acceptance order is recovered
+// by sorting only when it is needed (at open).
+type pendingRecord struct {
+	JournalRecord
+	seq uint64
 }
 
 // JournalRecord is one accepted job: an opaque request payload under a
@@ -56,7 +66,7 @@ func OpenJournal(path string) (*Journal, []JournalRecord, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: journal: %w", err)
 	}
-	j := &Journal{path: path, pending: make(map[string]JournalRecord)}
+	j := &Journal{path: path, pending: make(map[string]pendingRecord)}
 
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -79,26 +89,33 @@ func OpenJournal(path string) (*Journal, []JournalRecord, error) {
 		}
 		switch rec.Op {
 		case "accept":
-			if _, ok := j.pending[rec.ID]; !ok {
-				j.order = append(j.order, rec.ID)
+			p, ok := j.pending[rec.ID]
+			if !ok {
+				j.seq++
+				p.seq = j.seq
 			}
-			j.pending[rec.ID] = rec.JournalRecord
+			p.JournalRecord = rec.JournalRecord
+			j.pending[rec.ID] = p
 		case "done":
-			if _, ok := j.pending[rec.ID]; ok {
-				delete(j.pending, rec.ID)
-				j.order = removeID(j.order, rec.ID)
-			}
+			delete(j.pending, rec.ID)
 		default:
 			j.torn++
 		}
 	}
 
-	// Compact: rewrite just the pending accepts, atomically, then append
-	// from there.
+	// Compact: rewrite just the pending accepts in acceptance order,
+	// atomically, then append from there.
+	ordered := make([]pendingRecord, 0, len(j.pending))
+	for _, p := range j.pending {
+		ordered = append(ordered, p)
+	}
+	sort.Slice(ordered, func(a, b int) bool { return ordered[a].seq < ordered[b].seq })
+	out := make([]JournalRecord, len(ordered))
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for _, id := range j.order {
-		if err := enc.Encode(journalLine{Op: "accept", JournalRecord: j.pending[id]}); err != nil {
+	for i, p := range ordered {
+		out[i] = p.JournalRecord
+		if err := enc.Encode(journalLine{Op: "accept", JournalRecord: p.JournalRecord}); err != nil {
 			return nil, nil, fmt.Errorf("store: journal: %w", err)
 		}
 	}
@@ -110,21 +127,7 @@ func OpenJournal(path string) (*Journal, []JournalRecord, error) {
 		return nil, nil, fmt.Errorf("store: journal: %w", err)
 	}
 	j.f = f
-
-	out := make([]JournalRecord, 0, len(j.order))
-	for _, id := range j.order {
-		out = append(out, j.pending[id])
-	}
 	return j, out, nil
-}
-
-func removeID(ids []string, id string) []string {
-	for i, v := range ids {
-		if v == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
 }
 
 // Accept journals an accepted job durably: the record is appended and
@@ -143,15 +146,16 @@ func (j *Journal) Accept(rec JournalRecord) error {
 	if err := j.append(journalLine{Op: "accept", JournalRecord: rec}, true); err != nil {
 		return err
 	}
-	j.pending[rec.ID] = rec
-	j.order = append(j.order, rec.ID)
+	j.seq++
+	j.pending[rec.ID] = pendingRecord{JournalRecord: rec, seq: j.seq}
 	return nil
 }
 
 // Done journals a job's completion. Best-effort by design: losing a
 // done record only means the job is replayed on the next boot, where it
 // resolves as a cache hit — degraded, never wrong — so Done appends
-// without fsync and swallows failures into the latched Err.
+// without fsync and swallows failures into the latched Err. Done is O(1)
+// in the number of pending records.
 func (j *Journal) Done(id string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -159,7 +163,6 @@ func (j *Journal) Done(id string) {
 		return
 	}
 	delete(j.pending, id)
-	j.order = removeID(j.order, id)
 	_ = j.append(journalLine{Op: "done", JournalRecord: JournalRecord{ID: id}}, false)
 }
 

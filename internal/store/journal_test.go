@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,6 +128,60 @@ func TestJournalDuplicateAcceptCoalesces(t *testing.T) {
 	_, pending := openJ(t, path)
 	if len(pending) != 1 {
 		t.Fatalf("pending = %+v, want one record", pending)
+	}
+}
+
+// TestJournalDoneShuffledKeepsOrder drains half of a deep journal in
+// shuffled order — the pattern of a large sweep completing out of order —
+// and checks that the other half comes back in acceptance order on
+// reopen.
+func TestJournalDoneShuffledKeepsOrder(t *testing.T) {
+	const n = 10_000
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	// Write the accepts directly: n fsync'd Accept calls would only
+	// measure the disk.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("job-%05d", i)
+		if err := enc.Encode(journalLine{Op: "accept", JournalRecord: rec(ids[i])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j, pending := openJ(t, path)
+	if len(pending) != n {
+		t.Fatalf("opened %d pending, want %d", len(pending), n)
+	}
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	done := make(map[string]bool, n/2)
+	for _, i := range perm[:n/2] {
+		j.Done(ids[i])
+		done[ids[i]] = true
+	}
+	if j.Pending() != n-n/2 {
+		t.Fatalf("Pending() = %d, want %d", j.Pending(), n-n/2)
+	}
+	j.Close()
+
+	_, pending = openJ(t, path)
+	var want []string
+	for _, id := range ids {
+		if !done[id] {
+			want = append(want, id)
+		}
+	}
+	if len(pending) != len(want) {
+		t.Fatalf("reopened %d pending, want %d", len(pending), len(want))
+	}
+	for i, r := range pending {
+		if r.ID != want[i] {
+			t.Fatalf("pending[%d] = %s, want %s (acceptance order lost)", i, r.ID, want[i])
+		}
 	}
 }
 

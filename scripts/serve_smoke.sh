@@ -2,7 +2,9 @@
 # serve_smoke.sh — end-to-end gate for the serving layer: boots ptbserve
 # with a persistent store, replays N concurrent duplicate sweeps with
 # ptbload, asserts single-flight dedup on the cold pass and a >=99%
-# cache-hit rate on the warm pass, sends single-config requests with
+# cache-hit rate on the warm pass (where the job journal may gain no
+# more accept records than the pass had misses: cache hits are not
+# journaled), sends single-config requests with
 # `ptbload -mode runs` (digests compared per config), then SIGTERMs the
 # server (graceful drain), reboots it on the same store, and demands
 # byte-identical digests from the persisted cache. Used by
@@ -25,8 +27,11 @@ boot() {
     "$workdir/ptbserve" -addr "$ADDR" -store "$workdir/store" -scale "$SCALE" \
         >"$workdir/serve.log" 2>&1 &
     server_pid=$!
+    # The readiness probe asks for a config outside ptbload's default
+    # request set, so the cold pass below really starts cold.
     for _ in $(seq 1 50); do
-        if "$workdir/ptbload" -addr "$ADDR" -n 1 -c 1 >/dev/null 2>&1; then
+        if "$workdir/ptbload" -addr "$ADDR" -n 1 -c 1 -benches ocean -cores 2 -techs none \
+            >/dev/null 2>&1; then
             return 0
         fi
         sleep 0.2
@@ -34,21 +39,42 @@ boot() {
     echo "server failed to come up:"; cat "$workdir/serve.log"; exit 1
 }
 
+# load OUT ARGS... runs ptbload against the server, keeps its report in
+# OUT, prints it, and stops the script if ptbload failed (a pipe into
+# tee would hide its exit status).
+load() {
+    out="$1"; shift
+    "$workdir/ptbload" -addr "$ADDR" "$@" >"$out" \
+        || { cat "$out"; echo "ptbload failed"; exit 1; }
+    cat "$out"
+}
+
 echo "== boot (cold store)"
 boot
 
 echo "== cold pass: $N concurrent duplicate sweeps, single-flight asserted"
-"$workdir/ptbload" -addr "$ADDR" -n "$N" -c "$C" -assert-single-flight \
-    | tee "$workdir/cold.out"
+load "$workdir/cold.out" -n "$N" -c "$C" -assert-single-flight
 
-echo "== warm pass: >=99% cache hits asserted"
-"$workdir/ptbload" -addr "$ADDR" -n "$N" -c "$C" -assert-hit-rate 0.99 \
-    | tee "$workdir/warm.out"
+wal="$workdir/store/jobs.wal"
+accepts() { grep -c '"op":"accept"' "$wal" || true; }
+
+echo "== warm pass: >=99% cache hits asserted, journal growth bounded by misses"
+wal_bytes0=$(wc -c <"$wal")
+wal_accepts0=$(accepts)
+load "$workdir/warm.out" -n "$N" -c "$C" -assert-hit-rate 0.99
+wal_bytes1=$(wc -c <"$wal")
+wal_accepts1=$(accepts)
+# "configs N answered: F fresh, C coalesced, K cached, X failed"
+misses=$(awk '/^configs/ { print $2 - $8 }' "$workdir/warm.out")
+grown=$((wal_accepts1 - wal_accepts0))
+echo "jobs.wal        $wal_bytes0 -> $wal_bytes1 bytes, $grown accept record(s) for $misses miss(es)"
+if [ "$grown" -gt "$misses" ]; then
+    echo "FAIL: the journal grew by $grown accept records for $misses misses (cache hits were journaled)"
+    exit 1
+fi
 
 echo "== runs pass: single-config requests, digests compared per config"
-"$workdir/ptbload" -addr "$ADDR" -mode runs -n "$N" -c "$C" >"$workdir/runs.out" \
-    || { cat "$workdir/runs.out"; echo "runs pass failed"; exit 1; }
-cat "$workdir/runs.out"
+load "$workdir/runs.out" -mode runs -n "$N" -c "$C"
 
 echo "== graceful shutdown (SIGTERM drain + store flush)"
 kill -TERM "$server_pid"
@@ -60,8 +86,7 @@ boot
 grep -q "results loaded" "$workdir/serve.log"
 
 echo "== restarted pass: served from the persistent cache"
-"$workdir/ptbload" -addr "$ADDR" -n "$N" -c "$C" -assert-hit-rate 0.99 \
-    | tee "$workdir/restart.out"
+load "$workdir/restart.out" -n "$N" -c "$C" -assert-hit-rate 0.99
 
 echo "== digest identity across restart"
 grep '^digest' "$workdir/cold.out" >"$workdir/cold.digests"
